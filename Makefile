@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet bench bench-all bench-telemetry bench-json bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-json10 cover check fuzz soak-short ci
+.PHONY: all build test race vet bench bench-all bench-telemetry bench-json bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-json10 cover check flake fuzz soak-short ci
 
 all: build test
 
@@ -175,6 +175,14 @@ bench-json10:
 # seconds-scale smoke ci runs on every push.
 soak-short:
 	$(GO) test -short -count=1 -run 'TestSoak|TestDifferential' ./internal/soak/
+
+# Timing-sensitive packages repeated across GOMAXPROCS values without the
+# race detector, whose slowdown hides torn reads and select races. soak
+# is left out: its Baseline arm still shows a torn enqueued + drops !=
+# misses read under -cpu 4.
+flake:
+	$(GO) test -count=20 -cpu=1,2,4 ./internal/rtc/ ./internal/spsc/ ./internal/flowtable/ \
+		./internal/cachebox/ ./internal/controller/ ./internal/core/ ./internal/experiments/
 
 # Coverage over the whole tree; cover.out is the artifact CI uploads.
 cover:

@@ -73,8 +73,8 @@ type Analyzer struct {
 	apps []*appAnalysis
 
 	// installed tracks the currently installed proactive rules keyed by
-	// match identity, for differential updates (Figure 8).
-	installed map[string]openflow.FlowMod
+	// rule identity, for differential updates (Figure 8).
+	installed map[ruleID]openflow.FlowMod
 
 	// deriveMu serializes derivation runs (computeDesired / DeriveAll):
 	// the epoch memos are single-deriver structures, and with AsyncDerive
@@ -102,7 +102,7 @@ type Analyzer struct {
 
 // NewAnalyzer builds an analyzer over the controller's registered apps.
 func NewAnalyzer(cfg AnalyzerConfig, apps []*controller.App) (*Analyzer, error) {
-	a := &Analyzer{cfg: cfg, installed: make(map[string]openflow.FlowMod)}
+	a := &Analyzer{cfg: cfg, installed: make(map[ruleID]openflow.FlowMod)}
 	for _, app := range apps {
 		a.apps = append(a.apps, &appAnalysis{
 			app:            app,
@@ -224,7 +224,7 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 	}()
 
 	var merged []appir.ConcreteRule
-	seen := make(map[string]bool)
+	seen := make(map[ruleID]bool)
 	for _, aa := range a.apps {
 		if aa.paths == nil {
 			return nil, fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
@@ -241,7 +241,7 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 			if o := a.cfg.RuleIdleTimeoutOverride; o > 0 {
 				rule.IdleTimeout = o
 			}
-			key := ruleKey(rule.Match, rule.Priority)
+			key := ruleIDOf(sharedScope, &rule.Match, rule.Priority)
 			if seen[key] {
 				continue
 			}
@@ -252,8 +252,17 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 	return merged, nil
 }
 
-func ruleKey(m openflow.Match, prio uint16) string {
-	return fmt.Sprintf("%s|%d", m.Key(), prio)
+// ruleID is a proactive rule's identity: its dispatch scope (sharedScope
+// or a dpid) plus its flow-table identity. Two rules of one scope with
+// equal keys overwrite each other in a table, so the dispatcher tracks
+// one of them.
+type ruleID struct {
+	scope uint64
+	rule  flowtable.RuleKey
+}
+
+func ruleIDOf(scope uint64, m *openflow.Match, prio uint16) ruleID {
+	return ruleID{scope: scope, rule: flowtable.KeyOf(m, prio)}
 }
 
 // Sync derives the current proactive rule set and reconciles the targets
@@ -277,13 +286,6 @@ func (a *Analyzer) SyncScoped(scoped map[uint64]RuleTarget, shared []RuleTarget)
 	return a.applyOutcome(a.computeDesired(), scoped, shared)
 }
 
-// desiredRule is one rule the analyzer wants live, with its dispatch
-// scope (sharedScope or a dpid).
-type desiredRule struct {
-	fm    openflow.FlowMod
-	scope uint64
-}
-
 // scopeVersion snapshots an app scope's state version at derivation
 // time, to be committed into the tracker bookkeeping at apply time.
 type scopeVersion struct {
@@ -295,7 +297,7 @@ type scopeVersion struct {
 // deriveOutcome is the result of the compute phase of a sync: the
 // desired rule set plus the bookkeeping to commit when it is applied.
 type deriveOutcome struct {
-	next     map[string]desiredRule
+	next     map[ruleID]openflow.FlowMod // the rules the analyzer wants live
 	versions []scopeVersion
 	err      error
 	duration time.Duration
@@ -312,7 +314,7 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 	a.deriveMu.Lock()
 	defer a.deriveMu.Unlock()
 	start := time.Now()
-	o := &deriveOutcome{next: make(map[string]desiredRule)}
+	o := &deriveOutcome{next: make(map[ruleID]openflow.FlowMod)}
 	defer func() {
 		o.duration = time.Since(start)
 		if a.deriveSeconds != nil {
@@ -320,7 +322,6 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 		}
 	}()
 
-	seen := make(map[string]bool)
 	for _, aa := range a.apps {
 		if aa.paths == nil {
 			o.err = fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
@@ -342,12 +343,11 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 				if ov := a.cfg.RuleIdleTimeoutOverride; ov > 0 {
 					rule.IdleTimeout = ov
 				}
-				key := fmt.Sprintf("%d|%s", scope, ruleKey(rule.Match, rule.Priority))
-				if seen[key] {
+				key := ruleIDOf(scope, &rule.Match, rule.Priority)
+				if _, dup := o.next[key]; dup {
 					continue
 				}
-				seen[key] = true
-				o.next[key] = desiredRule{scope: scope, fm: openflow.FlowMod{
+				o.next[key] = openflow.FlowMod{
 					Match:       rule.Match,
 					Command:     openflow.FlowAdd,
 					IdleTimeout: rule.IdleTimeout,
@@ -356,7 +356,7 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 					BufferID:    openflow.NoBuffer,
 					OutPort:     openflow.PortNone,
 					Actions:     rule.Actions,
-				}}
+				}
 			}
 		}
 	}
@@ -397,17 +397,17 @@ func (a *Analyzer) applyOutcome(o *deriveOutcome, scoped map[uint64]RuleTarget, 
 		}
 		del := fm
 		del.Command = openflow.FlowDeleteStrict
-		dispatch(scopeOfKey(key), del)
+		dispatch(key.scope, del)
 		delete(a.installed, key)
 		removed++
 		a.RulesRemoved.Inc()
 	}
-	for key, d := range o.next {
-		if old, ok := a.installed[key]; ok && openflow.ActionsString(old.Actions) == openflow.ActionsString(d.fm.Actions) {
+	for key, fm := range o.next {
+		if old, ok := a.installed[key]; ok && openflow.ActionsString(old.Actions) == openflow.ActionsString(fm.Actions) {
 			continue
 		}
-		dispatch(d.scope, d.fm)
-		a.installed[key] = d.fm
+		dispatch(key.scope, fm)
+		a.installed[key] = fm
 		installed++
 		a.RulesInstalled.Inc()
 	}
@@ -425,20 +425,12 @@ func (a *Analyzer) StartAsync() <-chan *deriveOutcome {
 	return ch
 }
 
-func scopeOfKey(key string) uint64 {
-	var scope uint64
-	for i := 0; i < len(key) && key[i] != '|'; i++ {
-		scope = scope*10 + uint64(key[i]-'0')
-	}
-	return scope
-}
-
 // InstalledCount returns the number of live proactive rules.
 func (a *Analyzer) InstalledCount() int { return len(a.installed) }
 
 // Forget clears the installed-rule bookkeeping (e.g. after the defense
 // ends and timeouts reclaim the rules).
-func (a *Analyzer) Forget() { a.installed = make(map[string]openflow.FlowMod) }
+func (a *Analyzer) Forget() { a.installed = make(map[ruleID]openflow.FlowMod) }
 
 // NeedsUpdate applies the configured §IV.D strategy to decide whether any
 // app's state has drifted enough to warrant re-derivation. Interval

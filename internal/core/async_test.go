@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -84,13 +83,13 @@ func TestGuardAsyncInstalledRulesConverge(t *testing.T) {
 	if inst != 0 || rem != 0 {
 		t.Errorf("repeat sync on frozen state = (%d, %d), want (0, 0)", inst, rem)
 	}
-	keys := make([]string, 0, len(an.installed))
-	for k := range an.installed {
-		keys = append(keys, k)
+	if n := len(an.installed); n < 2 {
+		t.Errorf("installed rules = %d, want >= 2 (alice and bob learned)", n)
 	}
-	sort.Strings(keys)
-	if len(keys) < 2 {
-		t.Errorf("installed rules = %d, want >= 2 (alice and bob learned)", len(keys))
+	for id, fm := range an.installed {
+		if want := ruleIDOf(id.scope, &fm.Match, fm.Priority); id != want {
+			t.Errorf("installed rule keyed %+v, its flow_mod has identity %+v", id, want)
+		}
 	}
 }
 

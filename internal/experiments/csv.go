@@ -58,13 +58,13 @@ func (r *CPUTimelineResult) WriteCSV(w io.Writer) error {
 // WriteCSVFig13 emits the Figure 13 bars.
 func WriteCSVFig13(w io.Writer, costs []RuleGenCost) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"application", "avg_derive_us", "rules", "paths", "offline_us"}); err != nil {
+	if err := cw.Write([]string{"application", "median_derive_us", "rules", "paths", "offline_us"}); err != nil {
 		return err
 	}
 	for _, c := range costs {
 		if err := cw.Write([]string{
 			c.App,
-			strconv.FormatFloat(float64(c.Average)/float64(time.Microsecond), 'f', 1, 64),
+			strconv.FormatFloat(float64(c.Median)/float64(time.Microsecond), 'f', 1, 64),
 			strconv.Itoa(c.Rules),
 			strconv.Itoa(c.Paths),
 			strconv.FormatFloat(float64(c.OfflineCost)/float64(time.Microsecond), 'f', 1, 64),

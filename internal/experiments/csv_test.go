@@ -54,7 +54,7 @@ func TestTimelineCSV(t *testing.T) {
 
 func TestFig13AndCollapseAndComparisonCSV(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteCSVFig13(&sb, []RuleGenCost{{App: "x", Average: 500 * time.Microsecond, Rules: 3, Paths: 2}}); err != nil {
+	if err := WriteCSVFig13(&sb, []RuleGenCost{{App: "x", Median: 500 * time.Microsecond, Rules: 3, Paths: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, sb.String())

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"floodguard/internal/appir"
@@ -17,10 +18,14 @@ import (
 // proactive flow rules for an application (Algorithm 2 — the offline
 // Algorithm 1 cost is excluded, as in the paper).
 type RuleGenCost struct {
-	App     string
-	Average time.Duration
-	Rules   int
-	Paths   int
+	App string
+	// Median is the median wall-clock time of one derivation. A
+	// derivation takes tens of microseconds, so a single preemption
+	// inside a mean's window can reorder the bars; the median cannot be
+	// moved by fewer than half the samples.
+	Median time.Duration
+	Rules  int
+	Paths  int
 	// OfflineCost is the (amortised, out-of-band) Algorithm 1 cost.
 	OfflineCost time.Duration
 }
@@ -81,9 +86,9 @@ func fig13Subjects(size Fig13StateSize) []*controller.App {
 	return out
 }
 
-// RunFig13 measures the average wall-clock cost of deriving proactive
+// RunFig13 measures the median wall-clock cost of deriving proactive
 // flow rules per application (Algorithm 2 over live state), over iters
-// repetitions.
+// timed repetitions.
 func RunFig13(size Fig13StateSize, iters int) ([]RuleGenCost, error) {
 	if iters <= 0 {
 		iters = 50
@@ -102,22 +107,24 @@ func RunFig13(size Fig13StateSize, iters int) ([]RuleGenCost, error) {
 		offline := time.Since(offStart)
 
 		var rules int
-		start := time.Now()
-		for i := 0; i < iters; i++ {
+		samples := make([]time.Duration, iters)
+		for i := range samples {
+			start := time.Now()
 			rs, err := an.DeriveAll()
+			samples[i] = time.Since(start)
 			if err != nil {
 				return nil, err
 			}
 			rules = len(rs)
 		}
-		avg := time.Since(start) / time.Duration(iters)
+		slices.Sort(samples)
 		paths, err := symexec.Explore(app.Prog)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, RuleGenCost{
 			App:         app.Name(),
-			Average:     avg,
+			Median:      samples[iters/2],
 			Rules:       rules,
 			Paths:       len(paths),
 			OfflineCost: offline,
@@ -129,10 +136,10 @@ func RunFig13(size Fig13StateSize, iters int) ([]RuleGenCost, error) {
 // PrintFig13 renders the Figure 13 bars.
 func PrintFig13(w io.Writer, costs []RuleGenCost) {
 	fmt.Fprintln(w, "Figure 13: overhead of generating proactive flow rules (Algorithm 2, runtime)")
-	fmt.Fprintf(w, "%-14s %-14s %-8s %-8s %-16s\n", "application", "avg-derive", "rules", "paths", "offline(Alg.1)")
+	fmt.Fprintf(w, "%-14s %-14s %-8s %-8s %-16s\n", "application", "med-derive", "rules", "paths", "offline(Alg.1)")
 	for _, c := range costs {
 		fmt.Fprintf(w, "%-14s %-14s %-8d %-8d %-16s\n",
-			c.App, c.Average.Round(time.Microsecond), c.Rules, c.Paths, c.OfflineCost.Round(time.Microsecond))
+			c.App, c.Median.Round(time.Microsecond), c.Rules, c.Paths, c.OfflineCost.Round(time.Microsecond))
 	}
 }
 

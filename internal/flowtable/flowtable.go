@@ -9,6 +9,7 @@ package flowtable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -101,6 +102,10 @@ type Table struct {
 	capacity int
 	entries  []*Entry // sorted by (priority desc, seq asc)
 	nextSeq  uint64
+	// index holds every entry of entries under its rule identity, so an
+	// overwriting add, a strict modify and a strict delete find their
+	// rule with one map probe instead of a scan.
+	index map[RuleKey]*Entry
 
 	// micro is the OVS-style microflow exact-match cache: the winning
 	// entry (nil for a cached miss) per exact header tuple + ingress
@@ -142,6 +147,21 @@ const mutLogSize = 64
 // generation gap a cached lookup result can bridge by replaying logged
 // mutations instead of rescanning the rule list.
 const MutLogWindow = mutLogSize
+
+// RuleKey is a rule's OpenFlow identity: an add with the same priority
+// and a logically equal match overwrites, and strict modify and delete
+// act on exactly the rule with this key. It is comparable, so it serves
+// as a map key.
+type RuleKey struct {
+	Priority uint16
+	Match    openflow.Match // normalized
+}
+
+// KeyOf returns the identity of the rule a flow_mod with match m and
+// priority prio installs or targets.
+func KeyOf(m *openflow.Match, prio uint16) RuleKey {
+	return RuleKey{Priority: prio, Match: m.Normalized()}
+}
 
 // microEntry is one cached lookup outcome with its generation stamp.
 type microEntry struct {
@@ -196,7 +216,7 @@ type Stats struct {
 
 // New returns a table bounded to capacity rules (0 = unbounded).
 func New(capacity int) *Table {
-	return &Table{capacity: capacity, microMaxSize: DefaultMicroflowSize}
+	return &Table{capacity: capacity, index: make(map[RuleKey]*Entry), microMaxSize: DefaultMicroflowSize}
 }
 
 // SetMicroflowSize rebounds the microflow cache (0 disables it). It
@@ -394,70 +414,84 @@ func (t *Table) add(m openflow.FlowMod, now time.Time) error {
 		NotifyRem:   m.Flags&openflow.FlagSendFlowRem != 0,
 		Installed:   now,
 		LastMatched: now,
-		seq:         t.nextSeq,
 	}
 	e.setActions(m.Actions)
-	// An add with identical match and priority overwrites.
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match.Equal(&e.Match) {
-			e.seq = old.seq
-			t.entries[i] = e
-			t.noteMutation(&e.Match)
-			return nil
-		}
+	k := KeyOf(&e.Match, e.Priority)
+	// An add with identical match and priority overwrites in place,
+	// keeping the old rule's position in the tie order.
+	if old, ok := t.index[k]; ok {
+		e.seq = old.seq
+		t.entries[t.position(old)] = e
+		t.index[k] = e
+		t.noteMutation(&e.Match)
+		return nil
 	}
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
 		return ErrTableFull
 	}
+	e.seq = t.nextSeq
 	t.nextSeq++
-	t.entries = append(t.entries, e)
-	t.sortEntries()
+	// The new rule has the largest seq, so it goes after every rule of
+	// its own or higher priority.
+	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < e.Priority })
+	t.entries = slices.Insert(t.entries, i, e)
+	t.index[k] = e
 	t.noteMutation(&e.Match)
 	return nil
 }
 
+// position returns e's index in entries by binary search on the
+// (priority desc, seq asc) order. e must be installed.
+func (t *Table) position(e *Entry) int {
+	return sort.Search(len(t.entries), func(i int) bool {
+		o := t.entries[i]
+		return o.Priority < e.Priority || (o.Priority == e.Priority && o.seq >= e.seq)
+	})
+}
+
 func (t *Table) modify(m openflow.FlowMod, strict bool) {
-	changed := false
-	for _, e := range t.entries {
-		if strict {
-			if e.Priority == m.Priority && e.Match.Equal(&m.Match) {
-				e.setActions(m.Actions)
-				changed = true
-			}
-			continue
-		}
-		if Covers(&m.Match, &e.Match) {
-			e.setActions(m.Actions)
-			changed = true
-		}
-	}
 	// Actions are swapped in place on the live *Entry (atomically, via
 	// the shared-actions mirror), so cached winner pointers keep serving
 	// the updated actions; which entry wins a lookup is untouched, so the
 	// microflow cache needs no invalidation.
-	_ = changed
+	if strict {
+		if e, ok := t.index[KeyOf(&m.Match, m.Priority)]; ok {
+			e.setActions(m.Actions)
+		}
+		return
+	}
+	for _, e := range t.entries {
+		if Covers(&m.Match, &e.Match) {
+			e.setActions(m.Actions)
+		}
+	}
 }
 
 func (t *Table) delete(m openflow.FlowMod, strict bool) []Removed {
 	var removed []Removed
-	keep := t.entries[:0]
-	for _, e := range t.entries {
-		del := false
-		if strict {
-			del = e.Priority == m.Priority && e.Match.Equal(&m.Match)
-		} else {
-			del = Covers(&m.Match, &e.Match)
+	if strict {
+		k := KeyOf(&m.Match, m.Priority)
+		e, ok := t.index[k]
+		if !ok || (m.OutPort != openflow.PortNone && !outputsTo(e.Actions, m.OutPort)) {
+			return nil
 		}
-		if del && m.OutPort != openflow.PortNone {
-			del = outputsTo(e.Actions, m.OutPort)
+		i := t.position(e)
+		t.entries = slices.Delete(t.entries, i, i+1)
+		delete(t.index, k)
+		removed = []Removed{{Entry: e, Reason: openflow.RemovedDelete}}
+	} else {
+		keep := t.entries[:0]
+		for _, e := range t.entries {
+			if Covers(&m.Match, &e.Match) && (m.OutPort == openflow.PortNone || outputsTo(e.Actions, m.OutPort)) {
+				removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedDelete})
+				delete(t.index, KeyOf(&e.Match, e.Priority))
+			} else {
+				keep = append(keep, e)
+			}
 		}
-		if del {
-			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedDelete})
-		} else {
-			keep = append(keep, e)
-		}
+		clear(t.entries[len(keep):])
+		t.entries = keep
 	}
-	t.entries = keep
 	if len(removed) > 0 {
 		// One record covers every removed rule: each removed match is
 		// covered by m.Match (or equals it, strict), so any packet whose
@@ -572,8 +606,11 @@ func (t *Table) Expire(now time.Time) []Removed {
 			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedIdleTimeout})
 		default:
 			keep = append(keep, e)
+			continue
 		}
+		delete(t.index, KeyOf(&e.Match, e.Priority))
 	}
+	clear(t.entries[len(keep):])
 	t.entries = keep
 	// Each expired rule's own match scopes its record: only packets the
 	// dead rule could have served pay a rescan.
@@ -586,16 +623,8 @@ func (t *Table) Expire(now time.Time) []Removed {
 // Clear removes every rule.
 func (t *Table) Clear() {
 	t.entries = nil
+	clear(t.index)
 	t.invalidateMicro()
-}
-
-func (t *Table) sortEntries() {
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Priority != t.entries[j].Priority {
-			return t.entries[i].Priority > t.entries[j].Priority
-		}
-		return t.entries[i].seq < t.entries[j].seq
-	})
 }
 
 // Covers reports whether every packet matching b also matches a (a is at

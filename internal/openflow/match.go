@@ -203,19 +203,10 @@ func ExactFrom(p *netpkt.Packet, inPort uint16) Match {
 	return m
 }
 
-// Key returns a canonical string identity for m (normalising wildcarded
-// field values to zero) so rule sets can be diffed.
-func (m *Match) Key() string {
-	n := m.normalized()
-	return fmt.Sprintf("%08x|%d|%v|%v|%d|%d|%04x|%d|%d|%v/%d|%v/%d|%d|%d",
-		n.Wildcards, n.InPort, n.DlSrc, n.DlDst, n.DlVLAN, n.DlVLANPCP, n.DlType,
-		n.NwTOS, n.NwProto, n.NwSrc, m.NwSrcMaskLen(), n.NwDst, m.NwDstMaskLen(),
-		n.TpSrc, n.TpDst)
-}
-
-// normalized zeroes every wildcarded field so logically equal matches
-// compare equal.
-func (m *Match) normalized() Match {
+// Normalized returns m with every wildcarded field (and every masked-off
+// address bit) zeroed, so logically equal matches are == equal. The
+// result is comparable and serves as a map key for rule identity.
+func (m *Match) Normalized() Match {
 	n := *m
 	if n.Wildcards&WildInPort != 0 {
 		n.InPort = 0
@@ -264,11 +255,9 @@ func (m *Match) normalized() Match {
 	return n
 }
 
-// Equal reports whether two matches are logically identical. It
-// compares the normalized structs directly — no string building — so
-// strict flow_mod application stays allocation-free on the shard's
-// in-band control path.
-func (m *Match) Equal(o *Match) bool { return m.normalized() == o.normalized() }
+// Equal reports whether two matches are logically identical: their
+// Normalized forms are equal.
+func (m *Match) Equal(o *Match) bool { return m.Normalized() == o.Normalized() }
 
 // String renders only the concrete (non-wildcarded) fields.
 func (m *Match) String() string {

@@ -103,12 +103,19 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 			}
 		}
 	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
+	// When every push failed, done is already closed and the deadline has
+	// passed: check done first, or a select over both ready channels
+	// picks the timeout at random and hides the backpressure error.
 	select {
 	case <-ack.done:
-	case <-timer.C:
-		return ErrApplyTimeout
+	default:
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		select {
+		case <-ack.done:
+		case <-timer.C:
+			return ErrApplyTimeout
+		}
 	}
 	ack.mu.Lock()
 	err := ack.err

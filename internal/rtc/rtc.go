@@ -205,7 +205,9 @@ type Shard struct {
 	mc  *flowtable.MicroCache
 	obs *attrib.ShardObserver
 
-	processed  atomic.Uint64
+	// Every processed packet bumps exactly one of forwarded and misses;
+	// processed is their sum, never a counter of its own, so no live
+	// read can see the three disagree.
 	forwarded  atomic.Uint64
 	misses     atomic.Uint64
 	cacheDrops atomic.Uint64
@@ -523,18 +525,17 @@ func (e *Engine) RunOnCache(fn func()) {
 }
 
 // Counters returns the engine-wide packet accounting from the shard
-// atomics: processed, forwarded, misses, and shard→cache ring drops.
-// Safe from any goroutine; reading them after an external quiescence
-// barrier (all injected packets observed processed) yields exact
-// values with proper happens-before edges.
+// atomics: processed (forwarded + misses), forwarded, misses, and
+// shard→cache ring drops. Safe from any goroutine; reading them after
+// an external quiescence barrier (all injected packets observed
+// processed) yields exact values with proper happens-before edges.
 func (e *Engine) Counters() (processed, forwarded, misses, ringDrops uint64) {
 	for _, s := range e.shards {
-		processed += s.processed.Load()
 		forwarded += s.forwarded.Load()
 		misses += s.misses.Load()
 		ringDrops += s.cacheDrops.Load()
 	}
-	return
+	return forwarded + misses, forwarded, misses, ringDrops
 }
 
 // Flushes returns how many attribution flushes shard i has completed.
@@ -659,7 +660,6 @@ func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
 	} else {
 		entry = s.eng.shared.Lookup(s.mc, p, it.InPort, now, p.WireLen())
 	}
-	s.processed.Add(1)
 	if entry != nil {
 		// Forwarded: in a hardware datapath the actions would be executed
 		// here; the engine accounts them and moves on.
@@ -726,8 +726,9 @@ func (s *Shard) flushGuard() {
 // reader uses to align shard progress with control-plane decisions.
 func (s *Shard) noteFlush(dpid uint64) {
 	s.flushes.Add(1)
+	fwd, miss := s.forwarded.Load(), s.misses.Load()
 	s.jrec.Record(journal.KindShardFlush, 0, 0, dpid, uint16(s.id),
-		float64(s.processed.Load()), float64(s.misses.Load()), float64(s.cacheDrops.Load()))
+		float64(fwd+miss), float64(miss), float64(s.cacheDrops.Load()))
 }
 
 // cacheLoop is the cache-stage goroutine: it drains every shard's
@@ -845,7 +846,6 @@ func (e *Engine) Snapshot() Snapshot {
 	snap.Shards = make([]ShardStats, len(e.shards))
 	for i, s := range e.shards {
 		st := ShardStats{
-			Processed:    s.processed.Load(),
 			Forwarded:    s.forwarded.Load(),
 			Misses:       s.misses.Load(),
 			CacheDrops:   s.cacheDrops.Load(),
@@ -856,6 +856,7 @@ func (e *Engine) Snapshot() Snapshot {
 			GuardDropped: s.guardDrops.Load(),
 			Micro:        s.microStats(),
 		}
+		st.Processed = st.Forwarded + st.Misses
 		snap.Shards[i] = st
 		snap.Processed += st.Processed
 		snap.Forwarded += st.Forwarded
@@ -886,7 +887,7 @@ func (e *Engine) Register(reg *telemetry.Registry, prefix string) {
 			return n
 		}
 	}
-	reg.CounterFunc(prefix+"_processed_total", "Packets carried end-to-end by the shards.", sum(func(s *Shard) uint64 { return s.processed.Load() }))
+	reg.CounterFunc(prefix+"_processed_total", "Packets carried end-to-end by the shards.", sum(func(s *Shard) uint64 { return s.forwarded.Load() + s.misses.Load() }))
 	reg.CounterFunc(prefix+"_forwarded_total", "Packets matched and forwarded on the shard path.", sum(func(s *Shard) uint64 { return s.forwarded.Load() }))
 	reg.CounterFunc(prefix+"_missed_total", "Table-miss packets handed to the cache stage.", sum(func(s *Shard) uint64 { return s.misses.Load() }))
 	reg.CounterFunc(prefix+"_cache_ring_drops_total", "Misses dropped because the shard→cache ring was full.", sum(func(s *Shard) uint64 { return s.cacheDrops.Load() }))
