@@ -79,17 +79,16 @@ bench-json5:
 
 # The PR-6 run-to-completion engine rendered as BENCH_6.json: the SPSC
 # ring, the per-packet shard body (0 allocs AND 0 mutex-profile waits —
-# the zero-lock witness), the cache replay hop, the shard-local flow
-# lookup, and the whole-pipeline sustained-pps macro benchmark. The pps
-# floor and p99 ceiling are deliberately generous so slow single-core CI
-# boxes pass; the architectural >=2x speedup self-asserts inside the
-# macro bench only on machines with >=4 CPUs.
+# the zero-lock witness), the cache replay hop, the warm exact hit on a
+# shard-owned table partition, and the whole-pipeline sustained-pps
+# macro benchmark. The pps floor and p99 ceiling are deliberately
+# generous so slow single-core CI boxes pass.
 bench-json6:
 	@rm -f bench6.txt
 	$(GO) test -bench='RingPushPop|RingBatch64' -benchtime=10000x -benchmem -run=^$$ ./internal/spsc/ | tee -a bench6.txt
 	$(GO) test -bench='ShardPerPacket|RingHandoff' -benchtime=10000x -benchmem -run=^$$ ./internal/rtc/ | tee -a bench6.txt
 	$(GO) test -bench=CacheReplay -benchtime=10000x -benchmem -run=^$$ ./internal/dpcache/ | tee -a bench6.txt
-	$(GO) test -bench=ConcurrentShardHit -benchtime=10000x -benchmem -run=^$$ ./internal/flowtable/ | tee -a bench6.txt
+	$(GO) test -bench=PartitionHit -benchtime=10000x -benchmem -run=^$$ ./internal/flowtable/ | tee -a bench6.txt
 	$(GO) test -bench='SustainedPPS$$' -benchtime=1x -run=^$$ ./internal/experiments/ | tee -a bench6.txt
 	$(GO) run ./cmd/benchjson -in bench6.txt -out BENCH_6.json \
 		-gate 'BenchmarkRingPushPop(-|$$):allocs_per_op<=0' \
@@ -99,9 +98,9 @@ bench-json6:
 		-gate 'BenchmarkRingHandoff(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkCacheReplay/no-hinter(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkCacheReplay/hinter(-|$$):allocs_per_op<=0' \
-		-gate 'BenchmarkConcurrentShardHit(-|$$):allocs_per_op<=0' \
-		-gate 'BenchmarkSustainedPPS/mode=sharded(-|$$):pps>=50000' \
-		-gate 'BenchmarkSustainedPPS/mode=sharded(-|$$):p99ms<=250'
+		-gate 'BenchmarkPartitionHit(-|$$):allocs_per_op<=0' \
+		-gate 'BenchmarkSustainedPPS(-|$$):pps>=50000' \
+		-gate 'BenchmarkSustainedPPS(-|$$):p99ms<=250'
 
 # The PR-7 adversarial-soak quality tier rendered as BENCH_7.json: one
 # full soak (all four adaptive attacker profiles + seeded chaos) per
@@ -140,10 +139,9 @@ bench-json8:
 # contention while flow_mods delete and re-add a served rule every 64
 # packets — the witness that Apply never makes the serving path take a
 # writer lock), plus the mixed lookup+Apply macro benchmark: sustained
-# pps with 1000 flow_mods/s of churn, writer-lock arm vs the
-# shard-partitioned engine. The pps floor, p99 ceiling, and flow_mod
-# floor are generous for slow CI boxes; the >=1.5x churn speedup
-# self-asserts inside the macro bench only on machines with >=4 CPUs.
+# pps of the shard-partitioned engine with 1000 flow_mods/s of churn.
+# The pps floor, p99 ceiling, and flow_mod floor are generous for slow
+# CI boxes.
 bench-json9:
 	@rm -f bench9.txt
 	$(GO) test -bench=ShardChurnBody -benchtime=200000x -benchmem -run=^$$ ./internal/rtc/ | tee -a bench9.txt
@@ -152,9 +150,9 @@ bench-json9:
 		-gate 'BenchmarkShardChurnBody(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkShardChurnBody(-|$$):mutexwaits<=0' \
 		-gate 'BenchmarkShardChurnBody(-|$$):flowmods>=1' \
-		-gate 'BenchmarkSustainedPPSChurn/mode=sharded(-|$$):pps>=50000' \
-		-gate 'BenchmarkSustainedPPSChurn/mode=sharded(-|$$):p99ms<=250' \
-		-gate 'BenchmarkSustainedPPSChurn/mode=sharded(-|$$):flowmods>=100'
+		-gate 'BenchmarkSustainedPPSChurn(-|$$):pps>=50000' \
+		-gate 'BenchmarkSustainedPPSChurn(-|$$):p99ms<=250' \
+		-gate 'BenchmarkSustainedPPSChurn(-|$$):flowmods>=100'
 
 # The PR-10 SYN-proxy tier rendered as BENCH_10.json: the stateless
 # cookie encode/validate and the sharded connection-table lookup all sit
@@ -177,12 +175,11 @@ soak-short:
 	$(GO) test -short -count=1 -run 'TestSoak|TestDifferential' ./internal/soak/
 
 # Timing-sensitive packages repeated across GOMAXPROCS values without the
-# race detector, whose slowdown hides torn reads and select races. soak
-# is left out: its Baseline arm still shows a torn enqueued + drops !=
-# misses read under -cpu 4.
+# race detector, whose slowdown hides torn reads and select races.
 flake:
 	$(GO) test -count=20 -cpu=1,2,4 ./internal/rtc/ ./internal/spsc/ ./internal/flowtable/ \
-		./internal/cachebox/ ./internal/controller/ ./internal/core/ ./internal/experiments/
+		./internal/cachebox/ ./internal/controller/ ./internal/core/ ./internal/experiments/ \
+		./internal/soak/
 
 # Coverage over the whole tree; cover.out is the artifact CI uploads.
 cover:

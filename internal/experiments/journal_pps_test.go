@@ -19,7 +19,7 @@ func BenchmarkJournalPPSDelta(b *testing.B) {
 		duration = 100 * time.Millisecond
 	}
 	run := func(journalOn bool) float64 {
-		r, err := RunPPS(PPSConfig{Mode: PPSSharded, Duration: duration, Seed: 7, Journal: journalOn})
+		r, err := RunPPS(PPSConfig{Duration: duration, Seed: 7, Journal: journalOn})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Sustained-pps macro benchmark: the whole-pipeline throughput and
 // latency experiment behind the run-to-completion engine. It drives an
-// attack+benign mix through either the sharded engine or the
-// channel-hop baseline for a wall-clock duration, with one producer per
-// shard offering packets as fast as the pipeline accepts them, and
-// reports sustained pps, offered load, p50/p99 pipeline latency, and
-// the attack-time accounting (forwarded / migrated / drops / replayed).
+// attack+benign mix through the sharded engine for a wall-clock
+// duration, with one producer per shard offering packets as fast as the
+// engine accepts them, and reports sustained pps, offered load, p50/p99
+// pipeline latency, and the attack-time accounting (forwarded /
+// migrated / drops / replayed).
 package experiments
 
 import (
@@ -20,26 +20,9 @@ import (
 	"floodguard/internal/rtc"
 )
 
-// PPSMode selects the pipeline under test.
-type PPSMode string
-
-const (
-	// PPSSharded is the run-to-completion engine with shard-owned table
-	// partitions: lookups and in-band rule application take no locks.
-	PPSSharded PPSMode = "sharded"
-	// PPSLocked is the run-to-completion engine over the legacy shared
-	// table: every flow_mod takes the table-wide writer lock that stalls
-	// all shards' stale-path lookups — the churn comparison arm.
-	PPSLocked PPSMode = "locked"
-	// PPSChannels is the channel-hop baseline.
-	PPSChannels PPSMode = "channels"
-)
-
 // PPSConfig parameterises a sustained-pps run.
 type PPSConfig struct {
-	Mode PPSMode
-	// Shards is the engine shard count / baseline worker count
-	// (<= 0 picks GOMAXPROCS).
+	// Shards is the engine shard count (<= 0 picks GOMAXPROCS).
 	Shards int
 	// Duration is the wall-clock measurement length (default 1s).
 	Duration time.Duration
@@ -55,22 +38,17 @@ type PPSConfig struct {
 	// LatencySample stamps one packet in N for the latency quantiles
 	// (default rtc.DefaultLatencySample).
 	LatencySample int
-	// Journal arms the decision journal on the engine (sharded mode
-	// only) — the forensics-overhead measurement flag.
+	// Journal arms the decision journal on the engine — the
+	// forensics-overhead measurement flag.
 	Journal bool
 	// FlowModRate applies rule churn while traffic runs: this many
 	// flow_mods per second, alternately strict-deleting and re-adding
 	// installed benign flows round-robin across the producers' ports
-	// (0 = no churn). The mixed lookup+Apply scenario is where a
-	// writer-locked table collapses and shard-owned application does
-	// not.
+	// (0 = no churn): the mixed lookup+Apply scenario.
 	FlowModRate float64
 }
 
 func (c *PPSConfig) normalize() {
-	if c.Mode == "" {
-		c.Mode = PPSSharded
-	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -98,7 +76,6 @@ func (c *PPSConfig) normalize() {
 
 // PPSResult is one sustained-pps measurement.
 type PPSResult struct {
-	Mode     PPSMode
 	Shards   int
 	Duration time.Duration
 
@@ -120,15 +97,6 @@ type PPSResult struct {
 	P50, P99     time.Duration
 }
 
-// pipeline is the common surface of rtc.Engine and rtc.Baseline the
-// harness drives.
-type pipeline interface {
-	Apply(m openflow.FlowMod) error
-	Start()
-	Stop()
-	Snapshot() rtc.Snapshot
-}
-
 // RunPPS executes one sustained-pps measurement.
 func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	cfg.normalize()
@@ -138,30 +106,15 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		Window:        50 * time.Millisecond,
 		LatencySample: cfg.LatencySample,
 	}
-	if cfg.Journal && cfg.Mode == PPSSharded {
+	if cfg.Journal {
 		rcfg.Journal = journal.ForEngine(cfg.Shards)
 	}
-
-	var pipe pipeline
-	var eng *rtc.Engine
-	switch cfg.Mode {
-	case PPSSharded:
-		eng = rtc.New(rcfg)
-		pipe = eng
-	case PPSLocked:
-		rcfg.SharedTable = true
-		eng = rtc.New(rcfg)
-		pipe = eng
-	case PPSChannels:
-		pipe = rtc.NewBaseline(rcfg)
-	default:
-		return nil, fmt.Errorf("pps: unknown mode %q", cfg.Mode)
-	}
+	eng := rtc.New(rcfg)
 
 	// Per-producer working sets: BenignFlows installed flows on the
 	// producer's own port, plus a spoof generator for the attack share.
-	// Ports are chosen so producer i owns exactly shard i in sharded
-	// mode (port ≡ i mod Shards), honouring the SPSC contract.
+	// Ports are chosen so producer i owns exactly shard i
+	// (port ≡ i mod Shards), honouring the SPSC contract.
 	type producer struct {
 		port    uint16
 		benign  []netpkt.Packet
@@ -181,7 +134,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		bg := netpkt.NewSpoofGen(cfg.Seed+int64(i), netpkt.FloodUDP, 0)
 		for f := 0; f < cfg.BenignFlows; f++ {
 			pkt := bg.Next()
-			if err := pipe.Apply(openflow.FlowMod{
+			if err := eng.Apply(openflow.FlowMod{
 				Match:    openflow.ExactFrom(&pkt, p.port),
 				Command:  openflow.FlowAdd,
 				Priority: 100,
@@ -194,14 +147,13 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		producers[i] = p
 	}
 
-	pipe.Start()
+	eng.Start()
 	deadline := time.Now().Add(cfg.Duration)
 
 	// Rule churn: one control-plane goroutine strict-deletes and
 	// re-adds installed benign flows at FlowModRate while the producers
-	// hammer the pipeline — the mixed lookup+Apply scenario. Every mod
-	// pins in_port, so in sharded mode it routes to exactly one shard's
-	// control ring; in locked/channels mode it takes the writer lock.
+	// hammer the engine — the mixed lookup+Apply scenario. Every mod
+	// pins in_port, so it routes to exactly one shard's control ring.
 	var flowMods, flowModErrs uint64
 	stopChurn := make(chan struct{})
 	var churnWG sync.WaitGroup
@@ -234,7 +186,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 					} else {
 						mod.Command = openflow.FlowAdd
 					}
-					if err := pipe.Apply(mod); err != nil {
+					if err := eng.Apply(mod); err != nil {
 						flowModErrs++
 					} else {
 						flowMods++
@@ -250,12 +202,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		wg.Add(1)
 		go func(i int, p *producer) {
 			defer wg.Done()
-			inject := func(it rtc.Item) bool {
-				if eng != nil {
-					return eng.Shard(i).Ring().Push(it)
-				}
-				return pipe.(*rtc.Baseline).InjectItem(it)
-			}
+			ring := eng.Shard(i).Ring()
 			n := 0
 			for time.Now().Before(deadline) {
 				// Offer a burst between clock checks.
@@ -270,8 +217,8 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 						it.IngressNanos = time.Now().UnixNano()
 					}
 					p.offered++
-					if !inject(it) {
-						// Pipeline full: brief backoff, drop the offer.
+					if !ring.Push(it) {
+						// Engine full: brief backoff, drop the offer.
 						runtime.Gosched()
 					}
 					n++
@@ -282,11 +229,10 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	wg.Wait()
 	close(stopChurn)
 	churnWG.Wait()
-	pipe.Stop()
+	eng.Stop()
 
-	snap := pipe.Snapshot()
+	snap := eng.Snapshot()
 	res := &PPSResult{
-		Mode:      cfg.Mode,
 		Shards:    cfg.Shards,
 		Duration:  cfg.Duration,
 		Processed: snap.Processed,
@@ -314,8 +260,8 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 
 // Print renders the measurement human-readably.
 func (r *PPSResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "sustained-pps macro benchmark — mode=%s shards=%d duration=%s\n",
-		r.Mode, r.Shards, r.Duration)
+	fmt.Fprintf(w, "sustained-pps macro benchmark — shards=%d duration=%s\n",
+		r.Shards, r.Duration)
 	fmt.Fprintf(w, "  offered    %12.0f pps\n", r.OfferedPPS)
 	fmt.Fprintf(w, "  sustained  %12.0f pps\n", r.SustainedPPS)
 	fmt.Fprintf(w, "  latency    p50=%v p99=%v\n", r.P50, r.P99)
@@ -326,16 +272,16 @@ func (r *PPSResult) Print(w io.Writer) {
 	}
 }
 
-// WriteCSV emits one row per result:
-// mode,shards,duration_s,offered_pps,sustained_pps,p50_us,p99_us,
+// WritePPSCSV emits one row per result:
+// shards,duration_s,offered_pps,sustained_pps,p50_us,p99_us,
 // forwarded,migrated,ring_drops,replayed,cache_dropped,backlog,flowmods.
 func WritePPSCSV(w io.Writer, rs []*PPSResult) error {
-	if _, err := fmt.Fprintln(w, "mode,shards,duration_s,offered_pps,sustained_pps,p50_us,p99_us,forwarded,migrated,ring_drops,replayed,cache_dropped,backlog,flowmods"); err != nil {
+	if _, err := fmt.Fprintln(w, "shards,duration_s,offered_pps,sustained_pps,p50_us,p99_us,forwarded,migrated,ring_drops,replayed,cache_dropped,backlog,flowmods"); err != nil {
 		return err
 	}
 	for _, r := range rs {
-		if _, err := fmt.Fprintf(w, "%s,%d,%.3f,%.0f,%.0f,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Mode, r.Shards, r.Duration.Seconds(), r.OfferedPPS, r.SustainedPPS,
+		if _, err := fmt.Fprintf(w, "%d,%.3f,%.0f,%.0f,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d\n",
+			r.Shards, r.Duration.Seconds(), r.OfferedPPS, r.SustainedPPS,
 			float64(r.P50.Nanoseconds())/1e3, float64(r.P99.Nanoseconds())/1e3,
 			r.Forwarded, r.Misses, r.RingDrops, r.Replayed, r.CacheDrop, r.Backlog, r.FlowMods); err != nil {
 			return err

@@ -37,23 +37,19 @@ type Entry struct {
 	Packets     uint64
 	Bytes       uint64
 
-	// lastNanos mirrors LastMatched for concurrent lookups (Concurrent
-	// hits under a shared read lock update it atomically instead of
-	// racing on the time.Time); effectiveLastMatched folds the two.
-	lastNanos atomic.Int64
-
 	// actionsShared mirrors Actions for lock-free readers: modify() swaps
-	// the plain field in place under the table's exclusive lock, so a
-	// cached winner pointer served from a shard cache must read the action
-	// list through this atomic instead.
+	// the plain field in place on the table's owning goroutine, so a
+	// reader holding the entry pointer after releasing the table (see
+	// rtswitch.Inject) must read the action list through this atomic.
 	actionsShared atomic.Pointer[[]openflow.Action]
 
 	seq uint64 // insertion order, breaks priority ties (first wins)
 }
 
 // SharedActions returns the entry's action list without the table lock.
-// It is the only safe way to read actions from a cached winner pointer
-// on the concurrent hit path; a flow_mod modify is observed atomically.
+// It is the only safe way to read actions from a winner pointer once
+// the table may be mutated again; a flow_mod modify is observed
+// atomically.
 func (e *Entry) SharedActions() []openflow.Action {
 	if p := e.actionsShared.Load(); p != nil {
 		return *p
@@ -64,18 +60,6 @@ func (e *Entry) SharedActions() []openflow.Action {
 func (e *Entry) setActions(acts []openflow.Action) {
 	e.Actions = acts
 	e.actionsShared.Store(&acts)
-}
-
-// effectiveLastMatched is the later of the single-threaded LastMatched
-// stamp and the atomic mirror written by concurrent lookups.
-func (e *Entry) effectiveLastMatched() time.Time {
-	last := e.LastMatched
-	if ns := e.lastNanos.Load(); ns != 0 {
-		if t := time.Unix(0, ns); t.After(last) {
-			last = t
-		}
-	}
-	return last
 }
 
 // String renders the rule in ovs-ofctl style.
@@ -121,10 +105,7 @@ type Table struct {
 
 	// gen counts rule-set mutations; mutLog retains the match scope of
 	// the last mutLogSize of them (ring indexed by gen). A cached result
-	// older than the ring's window cannot be replayed and rescans. gen
-	// is atomic so shard-local caches (see MicroCache) can freshness-
-	// check a cached result without taking any table lock; the ring
-	// itself is written only under the caller's mutation lock.
+	// older than the ring's window cannot be replayed and rescans.
 	gen    atomic.Uint64
 	mutLog [mutLogSize]openflow.Match
 
@@ -142,11 +123,6 @@ type Table struct {
 // mutations, untouched cache entries rescan instead of replaying —
 // a bounded-memory compromise, not a correctness edge.
 const mutLogSize = 64
-
-// MutLogWindow is the exported mutation-ring depth: the longest
-// generation gap a cached lookup result can bridge by replaying logged
-// mutations instead of rescanning the rule list.
-const MutLogWindow = mutLogSize
 
 // RuleKey is a rule's OpenFlow identity: an add with the same priority
 // and a logically equal match overwrites, and strict modify and delete
@@ -299,30 +275,6 @@ func (t *Table) noteMutation(m *openflow.Match) {
 	t.ruleCount.Set(int64(len(t.entries)))
 	g := t.gen.Add(1)
 	t.mutLog[g%mutLogSize] = *m
-}
-
-// Gen returns the current mutation generation. It is an atomic read, so
-// shard-local caches can stamp and freshness-check results without any
-// table lock.
-func (t *Table) Gen() uint64 { return t.gen.Load() }
-
-// MutationsSince copies the match scopes of the mutations in
-// (sinceGen, Gen()] into dst, oldest first. It returns the count, the
-// generation the snapshot is current to, and ok=false when sinceGen has
-// fallen out of the ring's window (the caller must rescan). The caller
-// must hold the table's mutation lock (read side suffices) — the point
-// is that replaying the snapshot against a packet afterwards needs no
-// lock at all.
-func (t *Table) MutationsSince(sinceGen uint64, dst *[MutLogWindow]openflow.Match) (n int, cur uint64, ok bool) {
-	cur = t.gen.Load()
-	if cur-sinceGen > mutLogSize {
-		return 0, cur, false
-	}
-	for g := sinceGen + 1; g <= cur; g++ {
-		dst[n] = t.mutLog[g%mutLogSize]
-		n++
-	}
-	return n, cur, true
 }
 
 // microFresh replays the mutation log over a stale cached result:
@@ -557,32 +509,6 @@ func (t *Table) hit(e *Entry, now time.Time, frameLen int) *Entry {
 	return e
 }
 
-// LookupShared is the scan half of Lookup for callers holding a shared
-// (read) lock on the table: multiple goroutines may run it concurrently.
-// It bypasses the embedded microflow cache (shard-local MicroCaches
-// replace it — see Concurrent) and updates the matched entry's counters
-// atomically. Telemetry counters are atomics already, so the shared
-// scan is observable exactly like the owned one.
-func (t *Table) LookupShared(p *netpkt.Packet, inPort uint16, now time.Time, frameLen int) *Entry {
-	for _, e := range t.entries {
-		if e.Match.Matches(p, inPort) {
-			t.scanMatched.Inc()
-			hitShared(e, now, frameLen)
-			return e
-		}
-	}
-	t.scanMissed.Inc()
-	return nil
-}
-
-// hitShared is hit() for concurrent callers: per-entry counters become
-// atomic adds and the last-matched stamp lands in the atomic mirror.
-func hitShared(e *Entry, now time.Time, frameLen int) {
-	atomic.AddUint64(&e.Packets, 1)
-	atomic.AddUint64(&e.Bytes, uint64(frameLen))
-	e.lastNanos.Store(now.UnixNano())
-}
-
 // Peek is Lookup without counter updates (used by the cache-resident-rules
 // design option to test coverage without consuming the rule).
 func (t *Table) Peek(p *netpkt.Packet, inPort uint16) *Entry {
@@ -602,7 +528,7 @@ func (t *Table) Expire(now time.Time) []Removed {
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout:
 			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedHardTimeout})
-		case e.IdleTimeout > 0 && now.Sub(e.effectiveLastMatched()) >= e.IdleTimeout:
+		case e.IdleTimeout > 0 && now.Sub(e.LastMatched) >= e.IdleTimeout:
 			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedIdleTimeout})
 		default:
 			keep = append(keep, e)

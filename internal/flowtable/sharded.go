@@ -1,7 +1,7 @@
 // Shard-partitioned flow table for the run-to-completion engine: the
 // rule list is split by the same port%N ownership the rtc shards use for
-// packets, so each partition is a plain single-goroutine Table — with
-// its embedded microflow cache re-enabled — owned outright by one shard.
+// packets, so each partition is a plain single-goroutine Table, with
+// its embedded microflow cache, owned outright by one shard.
 // Lookup and rule application on a partition take zero locks; the only
 // cross-shard traffic a mutation causes is the owning partition's
 // generation bump, so rule churn on one port no longer invalidates (or

@@ -35,10 +35,12 @@ func keyOf(e *Entry) lookupKey {
 // property: for random interleaved sequences of flow_mods (adds,
 // strict and non-strict deletes, modifies — some pinning in_port, some
 // wildcarding it for broadcast) and lookups, a Sharded table at 1, 2,
-// and 4 partitions must return exactly the winner the single-table
-// Concurrent+MicroCache oracle returns, at every step of the sequence.
-// Rule order, priority ties, and the per-partition broadcast copies
-// must all collapse to the same serving behavior.
+// and 4 partitions must return exactly the winner a single plain Table
+// returns, at every step of the sequence. The oracle's microflow cache
+// is off, so it is a bare priority scan that shares no caching code
+// with the partitions under test. Rule order, priority ties, and the
+// per-partition broadcast copies must all collapse to the same serving
+// behavior.
 func TestShardedLookupShardCountInvariance(t *testing.T) {
 	now := time.Date(2015, 6, 22, 0, 0, 0, 0, time.UTC)
 	const nPorts = 8
@@ -47,8 +49,8 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(9000 + trial)))
 		gen := netpkt.NewSpoofGen(int64(trial), netpkt.FloodMixed, 16)
 
-		oracle := NewConcurrent(0)
-		mc := NewMicroCache(256)
+		oracle := New(0)
+		oracle.SetMicroflowSize(0)
 		shardeds := []*Sharded{
 			NewSharded(1, 0, 256),
 			NewSharded(2, 0, 256),
@@ -72,7 +74,7 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 			if r.Intn(3) > 0 { // lookup twice as often as mutation
 				pkt := pick()
 				inPort := uint16(r.Intn(nPorts) + 1)
-				want := keyOf(oracle.Lookup(mc, &pkt, inPort, now, pkt.WireLen()))
+				want := keyOf(oracle.Lookup(&pkt, inPort, now, pkt.WireLen()))
 				for _, s := range shardeds {
 					got := keyOf(s.PartitionFor(inPort).Lookup(&pkt, inPort, now, pkt.WireLen()))
 					if got != want {
@@ -125,7 +127,7 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 		for _, pkt := range samples {
 			pkt := pkt
 			for inPort := uint16(1); inPort <= nPorts; inPort++ {
-				want := keyOf(oracle.Lookup(mc, &pkt, inPort, now, pkt.WireLen()))
+				want := keyOf(oracle.Lookup(&pkt, inPort, now, pkt.WireLen()))
 				for _, s := range shardeds {
 					got := keyOf(s.PartitionFor(inPort).Lookup(&pkt, inPort, now, pkt.WireLen()))
 					if got != want {
@@ -200,6 +202,32 @@ func TestShardedBroadcastBookkeeping(t *testing.T) {
 		}
 		if got := s.Partition(i).RuleCount(); got != want {
 			t.Fatalf("partition %d rule count = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// BenchmarkPartitionHit is the shard-local serving path: a warm exact
+// hit on the partition that owns the ingress port, through its embedded
+// microflow cache. BENCH_6.json gates it at 0 allocs/op.
+func BenchmarkPartitionHit(b *testing.B) {
+	s := NewSharded(2, 0, 0)
+	now := time.Now()
+	p := netpkt.NewSpoofGen(6, netpkt.FloodUDP, 0).Next()
+	if _, err := s.Apply(openflow.FlowMod{
+		Match:    openflow.ExactFrom(&p, 1),
+		Command:  openflow.FlowAdd,
+		Priority: 10,
+		Actions:  []openflow.Action{openflow.Output(2)},
+	}, now); err != nil {
+		b.Fatal(err)
+	}
+	part := s.PartitionFor(1)
+	part.Lookup(&p, 1, now, 64) // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if part.Lookup(&p, 1, now, 64) == nil {
+			b.Fatal("expected hit")
 		}
 	}
 }

@@ -108,7 +108,7 @@ func TestEngineConservation(t *testing.T) {
 		if s.Replayed != s.Cache.Emitted {
 			t.Fatalf("shards=%d: sink saw %d, cache emitted %d", shards, s.Replayed, s.Cache.Emitted)
 		}
-		// Warm benign traffic must ride the shard caches, not the shared
+		// Warm benign traffic must ride the shard caches, not the priority
 		// scan: far more hits than misses per shard.
 		for i, st := range s.Shards {
 			if st.Micro.Hits < st.Micro.Misses {
@@ -140,18 +140,22 @@ func TestEngineBlamesAttackPort(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Both producers stop at one deadline. Three calm windows (30 ms)
+	// after the attack ends the port heals, as it should; a benign
+	// producer timed by its own sleeps can outlive the attack by that
+	// much on a loaded box, and Stop would then see a healed port.
+	deadline := time.Now().Add(100 * time.Millisecond)
 	done := make(chan struct{})
 	go func() { // benign producer: sparse, all hits
 		defer close(done)
 		ring := e.Shard(e.ShardFor(benignPort)).Ring()
-		for i := 0; i < 40; i++ {
+		for time.Now().Before(deadline) {
 			ring.Push(Item{Pkt: benignPkt, InPort: benignPort})
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 	sg := netpkt.NewSpoofGen(2, netpkt.FloodMixed, 0)
 	ring := e.Shard(e.ShardFor(attackPort)).Ring()
-	deadline := time.Now().Add(100 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for i := 0; i < 64; i++ {
 			ring.Push(Item{Pkt: sg.Next(), InPort: attackPort})
@@ -166,54 +170,6 @@ func TestEngineBlamesAttackPort(t *testing.T) {
 	}
 	if e.Attributor().Blamed(1, benignPort) {
 		t.Fatal("benign port blamed")
-	}
-}
-
-// TestBaselineConservation drives the channel pipeline with the same
-// accounting contract, so the macro benchmark compares equals.
-func TestBaselineConservation(t *testing.T) {
-	b := NewBaseline(testEngineConfig(2))
-	b.Start()
-	g := netpkt.NewSpoofGen(3, netpkt.FloodUDP, 0)
-	benignPkt := g.Next()
-	if err := b.Apply(exactMod(&benignPkt, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	sg := netpkt.NewSpoofGen(4, netpkt.FloodMixed, 0)
-	var benign, spoofed uint64
-	for i := 0; i < 8000; i++ {
-		var it Item
-		if i%4 != 0 {
-			it = Item{Pkt: benignPkt, InPort: 1}
-		} else {
-			it = Item{Pkt: sg.Next(), InPort: 1}
-		}
-		if i%DefaultLatencySample == 0 {
-			it.IngressNanos = time.Now().UnixNano()
-		}
-		for !b.InjectItem(it) {
-			time.Sleep(time.Microsecond)
-		}
-		if i%4 != 0 {
-			benign++
-		} else {
-			spoofed++
-		}
-	}
-	b.Stop()
-
-	s := b.Snapshot()
-	if s.Processed != benign+spoofed || s.Forwarded != benign {
-		t.Fatalf("processed %d forwarded %d, want %d/%d", s.Processed, s.Forwarded, benign+spoofed, benign)
-	}
-	if got := s.Cache.Enqueued + s.CacheDrops; got != spoofed {
-		t.Fatalf("cache enqueued %d + drops %d != spoofed %d", s.Cache.Enqueued, s.CacheDrops, spoofed)
-	}
-	if s.Cache.Enqueued != s.Cache.Emitted+s.Cache.Dropped+uint64(s.Cache.Backlog) {
-		t.Fatalf("cache conservation broken: %+v", s.Cache)
-	}
-	if s.P99 == 0 {
-		t.Fatal("no latency samples")
 	}
 }
 

@@ -17,13 +17,13 @@ func FuzzParseScenario(f *testing.F) {
 		"profile=rotate,duration=3s,window=50ms,flows=1000,ports=4,seed=0x7,chaos=on,benign_pps=8000",
 		"profile=all,duration=60s,flows=1048576,shards=4",
 		"seed=42,hot_flows=256,attack_factor=6,zipf_share=0.5,zipf_s=1.2",
-		"replay_pps=80000,queue_capacity=8192,loss_ceiling=0.01,baseline=true",
+		"replay_pps=80000,queue_capacity=8192,loss_ceiling=0.01",
 		"duration=-5s", "window=0s", "benign_pps=nan", "flows=0", "ports=200",
 		"profile=nope", "garbage", "chaos=maybe", "duration=50ms,window=1s",
 		"zipf_s=0.5", "loss_ceiling=2", "seed=0xzz", "flows=99999999999999999999",
 		"=,=,=", "duration=1s,duration=2s", "benign_pps=1e300,window=1h,duration=1h",
 		"tcpguard=on,synflood=160,slowshake=5,malformed=10,tcp_conns=32",
-		"tcpguard=on,baseline=on", "tcpguard=maybe", "synflood=-1",
+		"baseline=on", "tcpguard=maybe", "synflood=-1",
 		"slowshake=nan", "malformed=1e300", "tcp_conns=-2",
 		"profile=slow,tcpguard=on,tcp_conns=8,duration=1s,window=100ms",
 	}

@@ -26,7 +26,7 @@ type checker struct {
 	floorPPS    float64 // attribution blame floor (3x per-port benign rate)
 	healHor     int     // attrib heal windows + configured slack
 	topK        int
-	microBudget int // shards x per-shard microcache size (0 = not checked)
+	microBudget int // shards x per-shard microcache size
 
 	aboveSince []int // per attacker: start of current above-floor-unblamed streak (-1 none)
 	everBlamed []bool
@@ -142,7 +142,7 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 	if ws.TrackedSources > c.topK {
 		add("memory", "heavy-hitter entries %d > top-k %d", ws.TrackedSources, c.topK)
 	}
-	if c.microBudget > 0 && ws.MicroEntries > c.microBudget {
+	if ws.MicroEntries > c.microBudget {
 		add("memory", "microcache entries %d > budget %d", ws.MicroEntries, c.microBudget)
 	}
 	if lim := c.cfg.HotFlows + 1; ws.TableRules > lim {

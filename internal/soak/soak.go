@@ -106,23 +106,6 @@ type Result struct {
 	JournalDump []byte
 }
 
-// pipeline is the manual-mode surface shared by rtc.Engine and
-// rtc.Baseline that the harness drives.
-type pipeline interface {
-	Apply(m openflow.FlowMod) error
-	Start()
-	Stop()
-	InjectItem(it rtc.Item) bool
-	SetSimTarget(d time.Duration)
-	SimReached() time.Duration
-	RunOnCache(fn func())
-	Counters() (processed, forwarded, misses, ringDrops uint64)
-	CacheStats() dpcache.Stats
-	Attributor() *attrib.Attributor
-	Cache() *dpcache.Cache
-	ReplayedTotal() uint64
-}
-
 // replayTally is the ground-truth view of the controller-path replay
 // stream, fed by the rtc ReplayObserver on the cache goroutine and read
 // by the harness at window barriers (the SetSimTarget/SimReached atomic
@@ -296,7 +279,7 @@ func Run(cfg Config) (*Result, error) {
 
 	tally := &replayTally{}
 	var jnl *journal.Journal
-	if cfg.Journal && !cfg.Baseline {
+	if cfg.Journal {
 		jnl = journal.ForEngine(cfg.Shards)
 	}
 	box := &synackBox{}
@@ -321,35 +304,25 @@ func Run(cfg Config) (*Result, error) {
 			SynAck:           box.collect,
 		}
 	}
-	var pipe pipeline
-	var eng *rtc.Engine
-	if cfg.Baseline {
-		pipe = rtc.NewBaseline(rcfg)
-	} else {
-		eng = rtc.New(rcfg)
-		pipe = eng
-	}
+	eng := rtc.New(rcfg)
 
 	gen := newBenignGen(&cfg)
 	tgen := &tcpConnGen{cfg: &cfg}
 	atks := buildAttackers(&cfg)
 	plan := chaosPlan(&cfg)
 	acfg := attribConfigFor(&cfg)
-	microBudget := 0
-	if eng != nil {
-		microBudget = cfg.Shards * soakMicroSize
-	}
+	microBudget := cfg.Shards * soakMicroSize
 	chk := newChecker(&cfg, atks, plan, acfg.SuspectRatePPS, acfg.HealWindows, 64, microBudget)
 
 	// Install the zipf-head rules: the benign hot path forwards in the
 	// data plane; only the cold tail and the attack reach the cache tier.
 	for f := 0; f < cfg.HotFlows; f++ {
-		if err := pipe.Apply(hotFlowMod(gen, f)); err != nil {
+		if err := eng.Apply(hotFlowMod(gen, f)); err != nil {
 			return nil, fmt.Errorf("soak: install hot flow %d: %w", f, err)
 		}
 	}
 
-	pipe.Start()
+	eng.Start()
 	res := &Result{Config: cfg}
 	windows := cfg.Windows()
 	winSecs := cfg.Window.Seconds()
@@ -358,7 +331,7 @@ func Run(cfg Config) (*Result, error) {
 	// guardConsumed is the guard's miss-path take — part of every
 	// handoff-quiescence equation once the tier is armed.
 	guardConsumed := func() uint64 {
-		if eng == nil || eng.TCPGuard() == nil {
+		if eng.TCPGuard() == nil {
 			return 0
 		}
 		syn, drop := eng.GuardCounters()
@@ -399,7 +372,7 @@ func Run(cfg Config) (*Result, error) {
 	var prevLost, prevMissInj uint64
 
 	fail := func(err error) (*Result, error) {
-		pipe.Stop()
+		eng.Stop()
 		return nil, err
 	}
 
@@ -414,10 +387,10 @@ func Run(cfg Config) (*Result, error) {
 			del := hotFlowMod(gen, f)
 			del.Command = openflow.FlowDeleteStrict
 			del.OutPort = openflow.PortNone // no out_port filter: really delete
-			if err := pipe.Apply(del); err != nil {
+			if err := eng.Apply(del); err != nil {
 				return fail(fmt.Errorf("soak: churn delete flow %d: %w", f, err))
 			}
-			if err := pipe.Apply(hotFlowMod(gen, f)); err != nil {
+			if err := eng.Apply(hotFlowMod(gen, f)); err != nil {
 				return fail(fmt.Errorf("soak: churn re-add flow %d: %w", f, err))
 			}
 			jctl.Record(journal.KindChaos, 3, 0, 1, uint16(f), 1, 0, 0)
@@ -426,19 +399,19 @@ func Run(cfg Config) (*Result, error) {
 		// Scenario-driven rule churn, distinct from the chaos single-flow
 		// bump above: FlowModsPerWindow hot flows are strict-deleted and
 		// re-installed at every barrier, round-robin over the zipf head.
-		// This drives the shard-owned apply path (in-band control events
-		// in Engine mode, the writer lock in Baseline) at a sustained
-		// rate while the invariant catalog keeps asserting; both modes
-		// see the identical flow_mod sequence so the differential holds.
+		// This drives the shard-owned apply path (in-band control events)
+		// at a sustained rate while the invariant catalog keeps
+		// asserting; every shard count sees the identical flow_mod
+		// sequence so the differential holds.
 		for i := 0; i < cfg.FlowModsPerWindow; i++ {
 			f := (w*cfg.FlowModsPerWindow + i) % cfg.HotFlows
 			del := hotFlowMod(gen, f)
 			del.Command = openflow.FlowDeleteStrict
 			del.OutPort = openflow.PortNone // no out_port filter: really delete
-			if err := pipe.Apply(del); err != nil {
+			if err := eng.Apply(del); err != nil {
 				return fail(fmt.Errorf("soak: flowmod churn delete flow %d: %w", f, err))
 			}
-			if err := pipe.Apply(hotFlowMod(gen, f)); err != nil {
+			if err := eng.Apply(hotFlowMod(gen, f)); err != nil {
 				return fail(fmt.Errorf("soak: flowmod churn re-add flow %d: %w", f, err))
 			}
 		}
@@ -448,8 +421,8 @@ func Run(cfg Config) (*Result, error) {
 			if outage {
 				rate = 0
 			}
-			c := pipe.Cache()
-			pipe.RunOnCache(func() { c.SetRate(rate) })
+			c := eng.Cache()
+			eng.RunOnCache(func() { c.SetRate(rate) })
 			code := uint8(2)
 			if outage {
 				code = 1
@@ -504,13 +477,13 @@ func Run(cfg Config) (*Result, error) {
 				a := atks[s-1]
 				it.Pkt, it.InPort = a.packet(w), a.port
 			}
-			for !pipe.InjectItem(it) {
+			for !eng.InjectItem(it) {
 				runtime.Gosched()
 			}
 			if i%512 == 511 {
 				if err := waitFor(func() bool {
-					_, _, m, rd := pipe.Counters()
-					return m-(pipe.CacheStats().Enqueued+rd+guardConsumed()) <= 2048
+					_, _, m, rd := eng.Counters()
+					return m-(eng.CacheStats().Enqueued+rd+guardConsumed()) <= 2048
 				}, "cache handoff backpressure"); err != nil {
 					return fail(err)
 				}
@@ -527,7 +500,7 @@ func Run(cfg Config) (*Result, error) {
 		var winTCP uint64
 		for i := 0; i < cfg.TCPConns; i++ {
 			pkt, port := tgen.syn()
-			for !pipe.InjectItem(rtc.Item{Pkt: pkt, InPort: port}) {
+			for !eng.InjectItem(rtc.Item{Pkt: pkt, InPort: port}) {
 				runtime.Gosched()
 			}
 			winTCP++
@@ -539,14 +512,14 @@ func Run(cfg Config) (*Result, error) {
 		quiesce := func() error {
 			injected := cumInjBenign + cumInjAttack + cumInjTCP
 			if err := waitFor(func() bool {
-				p, _, _, _ := pipe.Counters()
+				p, _, _, _ := eng.Counters()
 				return p == injected
 			}, "shard quiescence"); err != nil {
 				return err
 			}
 			return waitFor(func() bool {
-				_, _, m, rd := pipe.Counters()
-				return pipe.CacheStats().Enqueued+rd+guardConsumed() == m
+				_, _, m, rd := eng.Counters()
+				return eng.CacheStats().Enqueued+rd+guardConsumed() == m
 			}, "cache ingest quiescence")
 		}
 		if err := quiesce(); err != nil {
@@ -558,7 +531,7 @@ func Run(cfg Config) (*Result, error) {
 		// flows are in the cache before the barrier snapshot.
 		if acks := box.takeClientAcks(); len(acks) > 0 {
 			for _, a := range acks {
-				for !pipe.InjectItem(rtc.Item{Pkt: a.pkt, InPort: a.inPort}) {
+				for !eng.InjectItem(rtc.Item{Pkt: a.pkt, InPort: a.inPort}) {
 					runtime.Gosched()
 				}
 			}
@@ -571,25 +544,22 @@ func Run(cfg Config) (*Result, error) {
 
 		// Merge the shard attribution deltas, in shard order so the
 		// sketch merge sequence is identical run to run.
-		if eng != nil {
-			for i := 0; i < eng.Shards(); i++ {
-				want := eng.Flushes(i) + 1
-				ring := eng.Shard(i).Ring()
-				for !ring.Push(rtc.Item{Flush: true}) {
-					runtime.Gosched()
-				}
-				i := i
-				if err := waitFor(func() bool { return eng.Flushes(i) >= want }, "shard flush"); err != nil {
-					return fail(err)
-				}
+		for i := 0; i < eng.Shards(); i++ {
+			want := eng.Flushes(i) + 1
+			ring := eng.Shard(i).Ring()
+			for !ring.Push(rtc.Item{Flush: true}) {
+				runtime.Gosched()
+			}
+			if err := waitFor(func() bool { return eng.Flushes(i) >= want }, "shard flush"); err != nil {
+				return fail(err)
 			}
 		}
 
 		// Advance simulated time one window: the replay ticker drains the
 		// cache queues at the configured rate, entirely in virtual time.
 		target := time.Duration(w+1) * cfg.Window
-		pipe.SetSimTarget(target)
-		if err := waitFor(func() bool { return pipe.SimReached() >= target }, "virtual-time pump"); err != nil {
+		eng.SetSimTarget(target)
+		if err := waitFor(func() bool { return eng.SimReached() >= target }, "virtual-time pump"); err != nil {
 			return fail(err)
 		}
 
@@ -597,10 +567,10 @@ func Run(cfg Config) (*Result, error) {
 		// The guard's cookie window advances in lockstep with the
 		// detection window: a cookie minted in window N validates through
 		// N+1 and is rejected from N+2.
-		if eng != nil && eng.TCPGuard() != nil {
+		if eng.TCPGuard() != nil {
 			eng.TCPGuard().AdvanceWindow()
 		}
-		verdicts := pipe.Attributor().Roll(cfg.Window)
+		verdicts := eng.Attributor().Roll(cfg.Window)
 		blamedPorts := 0
 		var benignBlamed []uint16
 		for i := range attackerBlamed {
@@ -632,7 +602,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		ws := collectWindow(w, &cfg, pipe, eng, gen, tally)
+		ws := collectWindow(w, &cfg, eng, gen, tally)
 		ws.InjBenign = uint64(benignN)
 		ws.InjTCP = winTCP
 		ws.CumInjBenign = cumInjBenign
@@ -688,7 +658,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	pipe.Stop()
+	eng.Stop()
 	res.DistinctFlows = gen.distinct
 	if n := len(res.Windows); n > 0 {
 		res.BenignLoss = res.Windows[n-1].BenignLoss
@@ -789,10 +759,10 @@ func hotFlowMod(gen *benignGen, f int) openflow.FlowMod {
 }
 
 // collectWindow reads the barrier snapshot into a WindowStats row.
-func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *benignGen, tally *replayTally) WindowStats {
-	p, f, m, rd := pipe.Counters()
-	cs := pipe.CacheStats()
-	attr := pipe.Attributor()
+func collectWindow(w int, cfg *Config, eng *rtc.Engine, gen *benignGen, tally *replayTally) WindowStats {
+	p, f, m, rd := eng.Counters()
+	cs := eng.CacheStats()
+	attr := eng.Attributor()
 	ws := WindowStats{
 		Window:              w,
 		SimMillis:           (time.Duration(w+1) * cfg.Window).Milliseconds(),
@@ -810,7 +780,7 @@ func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *beni
 		Backlog:             cs.Backlog,
 		SuspectBacklog:      cs.SuspectBacklog,
 		MaxBacklog:          cs.MaxBacklog,
-		Replayed:            pipe.ReplayedTotal(),
+		Replayed:            eng.ReplayedTotal(),
 		BenignReplayed:      tally.benign,
 		AttackReplayed:      tally.attack,
 		TCPReplayed:         tally.tcp,
@@ -819,21 +789,17 @@ func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *beni
 		TrackedSources:      attr.TrackedSources(),
 		SampleTotal:         attr.SampleTotal(),
 		ReplayWaitP99Millis: tally.p99Reset(),
+		MicroEntries:        eng.MicroEntries(),
+		TableRules:          eng.TableRules(),
+		TCPOffenders:        attr.TCPOffenders(),
 	}
-	if eng != nil {
-		ws.MicroEntries = eng.MicroEntries()
-		ws.TableRules = eng.TableRules()
-		if g := eng.TCPGuard(); g != nil {
-			ws.SynAcked, ws.GuardDropped = eng.GuardCounters()
-			gs := g.Stats()
-			ws.Established = gs.Established
-			ws.ConnEntries = gs.Entries
-			ws.ConnWatermark = gs.Watermark
-			ws.ConnBudget = gs.EntryBudget
-		}
-		ws.TCPOffenders = attr.TCPOffenders()
-	} else {
-		ws.TableRules = cfg.HotFlows
+	if g := eng.TCPGuard(); g != nil {
+		ws.SynAcked, ws.GuardDropped = eng.GuardCounters()
+		gs := g.Stats()
+		ws.Established = gs.Established
+		ws.ConnEntries = gs.Entries
+		ws.ConnWatermark = gs.Watermark
+		ws.ConnBudget = gs.EntryBudget
 	}
 	// Ground-truth cumulative benign loss: cold benign offered, minus
 	// replayed, minus what is still waiting in the benign UDP queue.
